@@ -2085,9 +2085,13 @@ type SC7Report struct {
 	} `json:"summary"`
 }
 
-// sc7Rig is a deterministic standalone DBFS: simclock, seeded vault
-// entropy (xrand.NewReader via Vault.SetRand), synchronous journal — every
-// block write and ciphertext byte is a pure function of the seed.
+// sc7Rig is a seeded standalone DBFS: simclock and seeded vault entropy
+// (xrand.NewReader via Vault.SetRand), so record contents, ciphertext and
+// the footprint, dedup and shred-safety results are a function of the
+// seed. Device op counts are not: WAL commit-group composition depends on
+// when the committer goroutine drains its queue, so the phases'
+// device_writes and promote_ops_per_record jitter by a few ops from run
+// to run.
 type sc7Rig struct {
 	dev   *blockdev.Mem
 	fs    *inode.FS

@@ -22,9 +22,8 @@
 // Controllers never free-run on goroutine timing: Tick is an explicit
 // step, timestamped by the caller's clock, so simclock tests and the SC6
 // experiment drive the loop deterministically. Group adds the background
-// driver for production use — a loop sleeping on simclock.Waiter exactly
-// like the retention sweeper — plus the States snapshot the core API and
-// rgpdctl surface.
+// driver for production use — the same simclock.Loop the retention sweeper
+// runs on — plus the States snapshot the core API and rgpdctl surface.
 //
 // Oscillation is structurally bounded: each law moves at most one step (or
 // one backoff) per tick, moves only while the signal is outside the band,
@@ -279,18 +278,13 @@ func (c *Controller) Knob() float64 {
 const DefaultTickInterval = time.Second
 
 // Group drives a set of controllers: explicit Tick for deterministic
-// callers, or a background loop (Start/Stop) sleeping one interval at a
-// time on the machine clock — simclock.Waiter when available, exactly like
-// the retention sweeper, so simclock tests advance it deterministically.
+// callers, or a background simclock.Loop (Start/Stop) ticking once per
+// interval on the machine clock, so simclock tests advance it
+// deterministically.
 type Group struct {
-	clock    simclock.Clock
-	interval time.Duration
-	cs       []*Controller
-
-	mu      sync.Mutex
-	running bool
-	stop    chan struct{}
-	done    chan struct{}
+	clock simclock.Clock
+	cs    []*Controller
+	loop  *simclock.Loop
 }
 
 // NewGroup builds a driver over controllers. interval <= 0 means
@@ -302,14 +296,16 @@ func NewGroup(clock simclock.Clock, interval time.Duration, cs ...*Controller) *
 	if interval <= 0 {
 		interval = DefaultTickInterval
 	}
-	return &Group{clock: clock, interval: interval, cs: cs}
+	g := &Group{clock: clock, cs: cs}
+	g.loop = simclock.NewLoop(clock, interval, func(bool) { g.Tick() }, nil)
+	return g
 }
 
 // Controllers returns the driven controllers.
 func (g *Group) Controllers() []*Controller { return g.cs }
 
 // Interval reports the tick cadence.
-func (g *Group) Interval() time.Duration { return g.interval }
+func (g *Group) Interval() time.Duration { return g.loop.Interval() }
 
 // Tick steps every controller once at the current clock instant.
 func (g *Group) Tick() {
@@ -330,80 +326,11 @@ func (g *Group) States() []State {
 
 // Start launches the background tick loop. Starting a running group is a
 // no-op.
-func (g *Group) Start() {
-	g.mu.Lock()
-	if g.running {
-		g.mu.Unlock()
-		return
-	}
-	g.running = true
-	g.stop = make(chan struct{})
-	g.done = make(chan struct{})
-	stop, done := g.stop, g.done
-	g.mu.Unlock()
-	go g.loop(stop, done)
-}
+func (g *Group) Start() { g.loop.Start() }
 
 // Stop halts the loop and waits for it to exit. Stopping a stopped group
 // is a no-op.
-func (g *Group) Stop() {
-	g.mu.Lock()
-	if !g.running {
-		g.mu.Unlock()
-		return
-	}
-	g.running = false
-	stop, done := g.stop, g.done
-	g.mu.Unlock()
-	close(stop)
-	<-done
-}
+func (g *Group) Stop() { g.loop.Stop() }
 
 // Running reports whether the background loop is active.
-func (g *Group) Running() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.running
-}
-
-func (g *Group) loop(stop, done chan struct{}) {
-	defer close(done)
-	for {
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		g.waitOne(stop)
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		g.Tick()
-	}
-}
-
-// waitOne sleeps one interval on the machine clock, interruptible by stop.
-func (g *Group) waitOne(stop chan struct{}) {
-	target := g.clock.Now().Add(g.interval)
-	w, ok := g.clock.(simclock.Waiter)
-	if !ok {
-		select {
-		case <-time.After(g.interval):
-		case <-stop:
-		}
-		return
-	}
-	cancel := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		select {
-		case <-stop:
-			close(cancel)
-		case <-finished:
-		}
-	}()
-	w.WaitUntil(target, cancel)
-	close(finished)
-}
+func (g *Group) Running() bool { return g.loop.Running() }

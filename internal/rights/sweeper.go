@@ -12,12 +12,12 @@
 //     subjects that are actually due — shards with no due records take no
 //     shard lock at all (dbfs.ShardScans proves it). The first sweep is a
 //     full priming pass that scans everything and seeds exact deadlines.
-//   - the Sweeper: a ticker-driven background loop that sleeps until the
-//     earliest deadline (or one Interval, whichever is sooner), wakes on
-//     deadline notifications, and fires scoped sweeps. It waits on
-//     simclock.Waiter, so tests drive it deterministically: a record
-//     expired at T is physically deleted by T+Interval — Interval is the
-//     grace window — and with exact deadline wakeups usually right at T.
+//   - the Sweeper: a simclock.Loop that sleeps until the earliest deadline
+//     (or one Interval, whichever is sooner), wakes on deadline
+//     notifications, and fires scoped sweeps. Under a Sim clock tests drive
+//     it deterministically: a record expired at T is physically deleted by
+//     T+Interval — Interval is the grace window — and with exact deadline
+//     wakeups usually right at T.
 package rights
 
 import (
@@ -443,23 +443,15 @@ type SweeperOptions struct {
 }
 
 // Sweeper is the deadline-aware background retention sweeper: a
-// ticker-driven loop firing scoped SweepExpired passes. Start/Stop are
-// idempotent and a stopped sweeper can be restarted.
+// simclock.Loop firing scoped SweepExpired passes, due at the first
+// instant after the earliest indexed deadline (expiry is strict-after).
+// Start/Stop are idempotent and a stopped sweeper can be restarted.
 type Sweeper struct {
-	eng *Engine
-	// wake is the kick channel: deadline notifications, Sync, Stop and
-	// SetInterval nudge the loop out of its clock wait.
-	wake chan struct{}
+	eng  *Engine
+	loop *simclock.Loop
 
-	mu          sync.Mutex
-	interval    time.Duration
-	cond        *sync.Cond
-	running     bool
-	stop        chan struct{}
-	done        chan struct{}
-	forced      bool
-	lastCovered time.Time
-	stats       SweeperStats
+	mu    sync.Mutex
+	stats SweeperStats
 }
 
 // DefaultSweepInterval is the fallback pass cadence when
@@ -472,17 +464,16 @@ func NewSweeper(e *Engine, opts SweeperOptions) *Sweeper {
 	if iv <= 0 {
 		iv = DefaultSweepInterval
 	}
-	sw := &Sweeper{eng: e, interval: iv, wake: make(chan struct{}, 1)}
-	sw.cond = sync.NewCond(&sw.mu)
+	sw := &Sweeper{eng: e}
+	sw.loop = simclock.NewLoop(e.clock, iv, func(bool) { sw.pass() }, func(time.Time) (time.Time, bool) {
+		dl, ok := e.due.earliestDeadline()
+		return dl.Add(time.Nanosecond), ok
+	})
 	return sw
 }
 
 // Interval reports the current pass cadence.
-func (sw *Sweeper) Interval() time.Duration {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	return sw.interval
-}
+func (sw *Sweeper) Interval() time.Duration { return sw.loop.Interval() }
 
 // SetInterval changes the pass cadence at runtime (d <= 0 restores
 // DefaultSweepInterval) and kicks a sleeping loop so the new cadence takes
@@ -491,10 +482,7 @@ func (sw *Sweeper) SetInterval(d time.Duration) {
 	if d <= 0 {
 		d = DefaultSweepInterval
 	}
-	sw.mu.Lock()
-	sw.interval = d
-	sw.mu.Unlock()
-	sw.kickWake()
+	sw.loop.SetInterval(d)
 }
 
 // StartSweeper builds and starts a background sweeper on the engine.
@@ -504,49 +492,23 @@ func (e *Engine) StartSweeper(opts SweeperOptions) *Sweeper {
 	return sw
 }
 
-// Start launches the background loop. Starting a running sweeper is a
-// no-op.
+// Start launches the background loop and routes deadline notifications to
+// it. Starting a running sweeper is a no-op.
 func (sw *Sweeper) Start() {
-	sw.mu.Lock()
-	if sw.running {
-		sw.mu.Unlock()
-		return
-	}
-	sw.running = true
-	sw.stop = make(chan struct{})
-	sw.done = make(chan struct{})
-	stop, done := sw.stop, sw.done
-	sw.mu.Unlock()
-	sw.eng.due.setKick(sw.kickWake)
-	go sw.loop(stop, done)
+	sw.eng.due.setKick(sw.loop.Kick)
+	sw.loop.Start()
 }
 
 // Stop halts the loop and waits for it to exit; in-flight passes finish.
 // Stopping a stopped sweeper is a no-op.
 func (sw *Sweeper) Stop() {
-	sw.mu.Lock()
-	if !sw.running {
-		sw.mu.Unlock()
-		return
+	if sw.loop.Stop() {
+		sw.eng.due.setKick(nil)
 	}
-	sw.running = false
-	stop, done := sw.stop, sw.done
-	sw.mu.Unlock()
-	sw.eng.due.setKick(nil)
-	close(stop)
-	sw.kickWake()
-	<-done
-	sw.mu.Lock()
-	sw.cond.Broadcast() // unblock Sync callers
-	sw.mu.Unlock()
 }
 
 // Running reports whether the loop is active.
-func (sw *Sweeper) Running() bool {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	return sw.running
-}
+func (sw *Sweeper) Running() bool { return sw.loop.Running() }
 
 // Stats snapshots the sweeper counters.
 func (sw *Sweeper) Stats() SweeperStats {
@@ -558,82 +520,14 @@ func (sw *Sweeper) Stats() SweeperStats {
 // Sync forces a sweep pass covering the instant of the call and blocks
 // until it completes (or the sweeper stops) — the deterministic join point
 // for simclock tests: advance the clock, Sync, assert.
-func (sw *Sweeper) Sync() {
-	target := sw.eng.clock.Now()
-	sw.mu.Lock()
-	if !sw.running {
-		sw.mu.Unlock()
-		return
-	}
-	sw.forced = true
-	sw.mu.Unlock()
-	sw.kickWake()
-	sw.mu.Lock()
-	for sw.running && sw.lastCovered.Before(target) {
-		sw.cond.Wait()
-	}
-	sw.mu.Unlock()
-}
-
-// kickWake nudges the loop; a pending nudge is enough, extra ones drop.
-func (sw *Sweeper) kickWake() {
-	select {
-	case sw.wake <- struct{}{}:
-	default:
-	}
-}
-
-// loop is the sweeper body: run a pass whenever something is due (or a
-// Sync forces one), otherwise sleep until the earliest deadline or one
-// Interval, whichever is sooner. Right after a pass the loop always goes
-// through the wait path, so a record that cannot be deleted (its deadline
-// re-armed in the past) is retried once per Interval instead of spinning.
-func (sw *Sweeper) loop(stop, done chan struct{}) {
-	defer close(done)
-	ranPass := false
-	for {
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		now := sw.eng.clock.Now()
-		sw.mu.Lock()
-		forced := sw.forced
-		sw.forced = false
-		interval := sw.interval
-		sw.mu.Unlock()
-		run := forced
-		if !run && !ranPass {
-			if e, ok := sw.eng.due.earliestDeadline(); ok && e.Before(now) {
-				run = true
-			}
-		}
-		if run {
-			sw.pass()
-			ranPass = true
-			continue
-		}
-		target := now.Add(interval)
-		if e, ok := sw.eng.due.earliestDeadline(); ok {
-			// Wake at the first instant strictly after the deadline
-			// (expiry is strict-after). A deadline already in the past
-			// here means the pass just failed on it: keep the Interval
-			// backoff instead.
-			if t := e.Add(time.Nanosecond); t.After(now) && t.Before(target) {
-				target = t
-			}
-		}
-		sw.waitUntil(target, stop)
-		ranPass = false
-	}
-}
+func (sw *Sweeper) Sync() { sw.loop.Sync() }
 
 // pass runs one sweep and records its outcome.
 func (sw *Sweeper) pass() {
 	start := sw.eng.clock.Now()
 	deleted, info, err := sw.eng.sweepOnce()
 	sw.mu.Lock()
+	defer sw.mu.Unlock()
 	sw.stats.Passes++
 	if info.full {
 		sw.stats.FullPasses++
@@ -645,38 +539,4 @@ func (sw *Sweeper) pass() {
 	sw.stats.ShardsScanned += uint64(info.shardsScanned)
 	sw.stats.SubjectsScanned += uint64(info.subjectsScanned)
 	sw.stats.LastPass = start
-	if start.After(sw.lastCovered) {
-		sw.lastCovered = start
-	}
-	sw.cond.Broadcast()
-	sw.mu.Unlock()
-}
-
-// waitUntil blocks until the machine clock reaches target, a kick
-// arrives, or stop closes.
-func (sw *Sweeper) waitUntil(target time.Time, stop chan struct{}) {
-	w, ok := sw.eng.clock.(simclock.Waiter)
-	if !ok {
-		// Unknown clock implementation: poll at a coarse real-time
-		// cadence so deadlines are still met within the grace window.
-		select {
-		case <-time.After(50 * time.Millisecond):
-		case <-sw.wake:
-		case <-stop:
-		}
-		return
-	}
-	cancel := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		select {
-		case <-stop:
-			close(cancel)
-		case <-sw.wake:
-			close(cancel)
-		case <-finished:
-		}
-	}()
-	w.WaitUntil(target, cancel)
-	close(finished)
 }

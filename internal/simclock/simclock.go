@@ -13,19 +13,14 @@ import (
 	"time"
 )
 
-// Clock is the minimal time source consumed by rgpdOS components.
+// Clock is the time source consumed by rgpdOS components. Its instants can
+// be awaited — what the background loops (see Loop) block on between
+// passes. Real waits in wall time; Sim waits are released by Advance/Set,
+// so a test that moves the clock deterministically wakes every sleeper
+// whose deadline passed.
 type Clock interface {
 	// Now reports the current instant according to this clock.
 	Now() time.Time
-}
-
-// Waiter is a Clock whose instants can be awaited — what ticker-driven
-// components (the retention sweeper) block on between passes. Real waits
-// in wall time; Sim waits are released by Advance/Set, so a test that
-// moves the clock deterministically wakes every sleeper whose deadline
-// passed.
-type Waiter interface {
-	Clock
 	// WaitUntil blocks until the clock reaches t or cancel delivers (or
 	// is closed), whichever happens first. It reports whether t was
 	// reached. A t at or before Now returns true immediately.
@@ -35,12 +30,12 @@ type Waiter interface {
 // Real is a Clock backed by the wall clock.
 type Real struct{}
 
-var _ Waiter = Real{}
+var _ Clock = Real{}
 
 // Now implements Clock using time.Now.
 func (Real) Now() time.Time { return time.Now() }
 
-// WaitUntil implements Waiter with a timer.
+// WaitUntil implements Clock with a timer.
 func (Real) WaitUntil(t time.Time, cancel <-chan struct{}) bool {
 	d := time.Until(t)
 	if d <= 0 {
@@ -75,7 +70,7 @@ type simWaiter struct {
 	ch       chan struct{}
 }
 
-var _ Waiter = (*Sim)(nil)
+var _ Clock = (*Sim)(nil)
 
 // NewSim returns a Sim clock starting at the given instant. A zero start
 // means Epoch.
@@ -140,11 +135,11 @@ func (s *Sim) wakeLocked() {
 	}
 }
 
-// WaitUntil implements Waiter: it blocks until Advance/Set moves the
+// WaitUntil implements Clock: it blocks until Advance/Set moves the
 // simulated clock to t or beyond, or cancel delivers. Simulated time only
 // moves when a test (or harness) moves it, so a WaitUntil with no
 // concurrent Advance and a quiet cancel channel blocks forever — exactly
-// the determinism sweeper tests rely on.
+// the determinism loop tests rely on.
 func (s *Sim) WaitUntil(t time.Time, cancel <-chan struct{}) bool {
 	s.mu.Lock()
 	if s.now.IsZero() {
