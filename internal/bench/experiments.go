@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -2077,8 +2076,8 @@ type SC7Report struct {
 		RedemotionDedupHits uint64 `json:"redemotion_dedup_hits"`
 		RedemotionNewBytes  int64  `json:"redemotion_new_bytes"`
 		// Shred-safety: after erasing one record, its archived ciphertext
-		// and its membrane-snapshot entry must not decode, and the raw
-		// device must hold zero copies of the plaintext name.
+		// and its membrane-snapshot entry must not decode, and no block of
+		// the raw device may hold the plaintext name.
 		ArchiveUndecodable   bool `json:"archive_undecodable"`
 		SnapshotUndecodable  bool `json:"snapshot_undecodable"`
 		PlaintextResidueHits int  `json:"plaintext_residue_hits"`
@@ -2308,7 +2307,7 @@ func runSC7(w io.Writer, p Params) error {
 	report.Summary.ArchiveUndecodable = errors.Is(dataErr, cryptoshred.ErrKeyDestroyed)
 	_, snapErr := on.store.SnapshotMembrane(on.tok, "sc7-audit", victim)
 	report.Summary.SnapshotUndecodable = errors.Is(snapErr, cryptoshred.ErrKeyDestroyed)
-	report.Summary.PlaintextResidueHits = bytes.Count(on.dev.ReadRaw(), []byte(victimName))
+	report.Summary.PlaintextResidueHits = len(blockdev.FindResidue(on.dev, []byte(victimName)))
 
 	rows := make([][]string, 0, len(report.Rows))
 	for _, r := range report.Rows {

@@ -8,12 +8,14 @@
 // I/O exclusively through this interface, which is also how the purpose-kernel
 // model routes device access through dedicated IO-driver kernels.
 //
-// The device deliberately exposes its raw contents (ReadRaw) because the
-// journal-leak experiment (DESIGN.md F2V1) must scan a disk image for
-// residues of "deleted" personal data, exactly as a forensic tool would.
+// The device deliberately lets FindResidue and FindResidueAny scan its raw
+// contents in place because the journal-leak experiment (DESIGN.md F2V1)
+// must search a disk image for residues of "deleted" personal data, exactly
+// as a forensic tool would.
 package blockdev
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -255,93 +257,74 @@ func (m *Mem) WriteBlocks(ns []uint64, data [][]byte) error {
 	return nil
 }
 
-// ReadRaw copies the entire device image. It models pulling the disk out of
-// the machine: no filesystem, no access control. The residue-scanning
-// experiments use it to prove (or disprove) that deleted personal data is
-// still recoverable from raw media.
-func (m *Mem) ReadRaw() []byte {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]byte, len(m.blocks))
-	copy(out, m.blocks)
-	return out
-}
-
 // FindResidue scans the raw image of dev for every occurrence of pattern and
-// returns the block numbers that contain at least one match. A non-empty
-// result after a GDPR erasure is a right-to-be-forgotten violation.
+// returns, in ascending order, the block numbers where at least one match
+// begins. A non-empty result after a GDPR erasure is a right-to-be-forgotten
+// violation.
 func FindResidue(dev *Mem, pattern []byte) []uint64 {
-	if len(pattern) == 0 {
-		return nil
-	}
-	img := dev.ReadRaw()
-	var hits []uint64
-	seen := make(map[uint64]bool)
-	for i := 0; i+len(pattern) <= len(img); i++ {
-		if img[i] != pattern[0] {
-			continue
-		}
-		match := true
-		for j := 1; j < len(pattern); j++ {
-			if img[i+j] != pattern[j] {
-				match = false
-				break
-			}
-		}
-		if match {
-			b := uint64(i) / BlockSize
-			if !seen[b] {
-				seen[b] = true
-				hits = append(hits, b)
-			}
-		}
-	}
-	return hits
+	return dev.scan([][]byte{pattern})
 }
 
-// FindResidueAny scans the raw image of dev once for every pattern and
+// FindResidueAny scans the raw image of dev for every pattern at once and
 // returns the number of (pattern, block) pairs with at least one plaintext
-// match. One traversal replaces len(patterns) FindResidue passes, which is
-// what post-run invariant checks sampling many erased secrets need; a
+// match. Post-run invariant checks sampling many erased secrets use it; a
 // non-zero result after a GDPR erasure is a right-to-be-forgotten
 // violation.
 func FindResidueAny(dev *Mem, patterns [][]byte) int {
-	var first [256][]int
-	nonEmpty := false
-	for idx, p := range patterns {
-		if len(p) > 0 {
-			first[p[0]] = append(first[p[0]], idx)
-			nonEmpty = true
-		}
-	}
-	if !nonEmpty {
-		return 0
-	}
-	img := dev.ReadRaw()
-	seen := make(map[[2]uint64]bool)
-	hits := 0
-	for i := 0; i < len(img); i++ {
-		cands := first[img[i]]
-		if len(cands) == 0 {
+	return len(dev.scan(patterns))
+}
+
+// scan is the residue-scan kernel. It models pulling the disk out of the
+// machine: no filesystem, no access control. It walks the device image in
+// place, holding the read lock for the whole scan so writers wait and the
+// scan sees one consistent snapshot, and returns one block number per
+// (pattern, block) pair where a match of that pattern begins in that
+// block. Matches spanning blocks belong to their start block, overlapping
+// matches count, and empty patterns never match. bytes.IndexByte finds the
+// candidate starts, so the cost is one pass over the image per distinct
+// first byte among the patterns; within a pass blocks come out in
+// ascending order. A candidate must match the prefix its pass's patterns
+// share before any single pattern is tried, so a random byte costs one
+// comparison, not one per pattern.
+func (m *Mem) scan(patterns [][]byte) []uint64 {
+	var byFirst [256][]int
+	var shared [256][]byte // longest prefix common to byFirst[c]'s patterns
+	var firsts []byte
+	for i, p := range patterns {
+		if len(p) == 0 {
 			continue
 		}
-		for _, idx := range cands {
-			p := patterns[idx]
-			if i+len(p) > len(img) {
+		c := p[0]
+		if byFirst[c] == nil {
+			firsts = append(firsts, c)
+			shared[c] = p
+		}
+		n := 0
+		for n < len(shared[c]) && n < len(p) && shared[c][n] == p[n] {
+			n++
+		}
+		shared[c] = shared[c][:n]
+		byFirst[c] = append(byFirst[c], i)
+	}
+	var hits []uint64
+	last := make([]uint64, len(patterns)) // 1 + block of the last hit; 0 = none
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	for _, c := range firsts {
+		for off := 0; ; off++ {
+			j := bytes.IndexByte(m.blocks[off:], c)
+			if j < 0 {
+				break
+			}
+			off += j
+			if !bytes.HasPrefix(m.blocks[off:], shared[c]) {
 				continue
 			}
-			match := true
-			for j := 1; j < len(p); j++ {
-				if img[i+j] != p[j] {
-					match = false
-					break
-				}
-			}
-			if match {
-				key := [2]uint64{uint64(idx), uint64(i) / BlockSize}
-				if !seen[key] {
-					seen[key] = true
-					hits++
+			b := uint64(off) / BlockSize
+			for _, i := range byFirst[c] {
+				if last[i] != b+1 && bytes.HasPrefix(m.blocks[off:], patterns[i]) {
+					last[i] = b + 1
+					hits = append(hits, b)
 				}
 			}
 		}

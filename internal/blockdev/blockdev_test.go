@@ -3,6 +3,9 @@ package blockdev
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -180,6 +183,280 @@ func TestFindResidueSpanningBlocks(t *testing.T) {
 	hits := FindResidue(dev, []byte("SECRET"))
 	if len(hits) != 1 || hits[0] != 0 {
 		t.Fatalf("FindResidue across boundary = %v, want [0]", hits)
+	}
+}
+
+// refFindResidue and refFindResidueAny are the byte-at-a-time scanners the
+// in-place kernel replaced, kept as the reference it must agree with.
+func refFindResidue(img, pattern []byte) []uint64 {
+	if len(pattern) == 0 {
+		return nil
+	}
+	var hits []uint64
+	seen := make(map[uint64]bool)
+	for i := 0; i+len(pattern) <= len(img); i++ {
+		if img[i] != pattern[0] {
+			continue
+		}
+		match := true
+		for j := 1; j < len(pattern); j++ {
+			if img[i+j] != pattern[j] {
+				match = false
+				break
+			}
+		}
+		if match {
+			b := uint64(i) / BlockSize
+			if !seen[b] {
+				seen[b] = true
+				hits = append(hits, b)
+			}
+		}
+	}
+	return hits
+}
+
+func refFindResidueAny(img []byte, patterns [][]byte) int {
+	var first [256][]int
+	for idx, p := range patterns {
+		if len(p) > 0 {
+			first[p[0]] = append(first[p[0]], idx)
+		}
+	}
+	seen := make(map[[2]uint64]bool)
+	hits := 0
+	for i := 0; i < len(img); i++ {
+		for _, idx := range first[img[i]] {
+			p := patterns[idx]
+			if i+len(p) > len(img) {
+				continue
+			}
+			match := true
+			for j := 1; j < len(p); j++ {
+				if img[i+j] != p[j] {
+					match = false
+					break
+				}
+			}
+			if match {
+				key := [2]uint64{uint64(idx), uint64(i) / BlockSize}
+				if !seen[key] {
+					seen[key] = true
+					hits++
+				}
+			}
+		}
+	}
+	return hits
+}
+
+// rawImage copies the device contents for the reference scanners.
+func rawImage(dev *Mem) []byte {
+	dev.mu.RLock()
+	defer dev.mu.RUnlock()
+	return append([]byte(nil), dev.blocks...)
+}
+
+// checkAgainstRef asserts that the kernel-backed scanners match the
+// reference on dev for every pattern on its own and for the whole set.
+func checkAgainstRef(t *testing.T, dev *Mem, patterns [][]byte) {
+	t.Helper()
+	img := rawImage(dev)
+	for _, p := range patterns {
+		got, want := FindResidue(dev, p), refFindResidue(img, p)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("FindResidue(%q) = %v, reference %v", p, got, want)
+		}
+	}
+	if got, want := FindResidueAny(dev, patterns), refFindResidueAny(img, patterns); got != want {
+		t.Fatalf("FindResidueAny(%q) = %d, reference %d", patterns, got, want)
+	}
+}
+
+// plant writes p into dev starting at byte offset off; it may span blocks.
+func plant(t *testing.T, dev *Mem, off int, p []byte) {
+	t.Helper()
+	buf := make([]byte, BlockSize)
+	for len(p) > 0 {
+		n := uint64(off / BlockSize)
+		if err := dev.ReadBlock(n, buf); err != nil {
+			t.Fatal(err)
+		}
+		k := copy(buf[off%BlockSize:], p)
+		if err := dev.WriteBlock(n, buf); err != nil {
+			t.Fatal(err)
+		}
+		p, off = p[k:], off+k
+	}
+}
+
+func TestFindResidueEdgeCases(t *testing.T) {
+	const nblocks = 3
+	end := nblocks * BlockSize
+	cases := []struct {
+		name     string
+		plants   map[int]string
+		patterns []string
+		want     [][]uint64 // FindResidue per pattern
+		wantAny  int
+	}{
+		{
+			name:     "shared first byte",
+			plants:   map[int]string{10: "sx-a-1", 5000: "sx-a-2", 9000: "sx-a-1"},
+			patterns: []string{"sx-a-1", "sx-a-2", "sx-a-3"},
+			want:     [][]uint64{{0, 2}, {1}, nil},
+			wantAny:  3,
+		},
+		{
+			name:     "distinct first bytes",
+			plants:   map[int]string{10: "alpha", 20: "beta", 4200: "gamma"},
+			patterns: []string{"alpha", "beta", "gamma", "delta"},
+			want:     [][]uint64{{0}, {0}, {1}, nil},
+			wantAny:  3,
+		},
+		{
+			name:     "zero first byte",
+			plants:   map[int]string{4100: "\x01\x02", 8500: "\x01\x02"},
+			patterns: []string{"\x00\x01\x02"},
+			want:     [][]uint64{{1, 2}},
+			wantAny:  2,
+		},
+		{
+			name:     "spans a block boundary and ends the device",
+			plants:   map[int]string{BlockSize - 3: "SECRET", end - 6: "SECRET"},
+			patterns: []string{"SECRET", "T"},
+			want:     [][]uint64{{0, 2}, {1, 2}},
+			wantAny:  4,
+		},
+		{
+			name:     "periodic overlap and duplicates",
+			plants:   map[int]string{BlockSize - 2: "aaaa", 9000: "aaaa"},
+			patterns: []string{"aa", "aa", "aaa"},
+			want:     [][]uint64{{0, 1, 2}, {0, 1, 2}, {0, 2}},
+			wantAny:  8,
+		},
+		{
+			name:     "longer than the device, nil and empty",
+			plants:   map[int]string{0: "x"},
+			patterns: []string{strings.Repeat("x", end+1), "", "x"},
+			want:     [][]uint64{nil, nil, {0}},
+			wantAny:  1,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dev := MustMem(nblocks)
+			for off, p := range tc.plants {
+				plant(t, dev, off, []byte(p))
+			}
+			patterns := make([][]byte, len(tc.patterns))
+			for i, p := range tc.patterns {
+				patterns[i] = []byte(p)
+			}
+			for i, p := range patterns {
+				if got := FindResidue(dev, p); !reflect.DeepEqual(got, tc.want[i]) {
+					t.Fatalf("FindResidue(%q) = %v, want %v", p, got, tc.want[i])
+				}
+			}
+			if got := FindResidueAny(dev, patterns); got != tc.wantAny {
+				t.Fatalf("FindResidueAny = %d, want %d", got, tc.wantAny)
+			}
+			checkAgainstRef(t, dev, append(patterns, nil))
+		})
+	}
+}
+
+// TestFindResidueMatchesReference is the differential test: on seeded
+// random images — zero blocks, random "ciphertext" blocks and blocks over a
+// tiny alphabet that makes partial and overlapping matches common — with
+// patterns planted anywhere, including across block boundaries and at the
+// device's last byte, the kernel must agree with the byte-loop reference.
+func TestFindResidueMatchesReference(t *testing.T) {
+	rng := xrand.New(14)
+	alphabet := []byte("\x00sx-ab")
+	word := func(n int) []byte {
+		w := make([]byte, n)
+		for i := range w {
+			w[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		return w
+	}
+	for trial := 0; trial < 200; trial++ {
+		nblocks := uint64(1 + rng.Intn(4))
+		dev := MustMem(nblocks)
+		buf := make([]byte, BlockSize)
+		for n := uint64(0); n < nblocks; n++ {
+			switch rng.Intn(3) {
+			case 0:
+				continue // stays zero
+			case 1:
+				rng.Bytes(buf)
+			case 2:
+				copy(buf, word(BlockSize))
+			}
+			if err := dev.WriteBlock(n, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var patterns [][]byte
+		for k := rng.Intn(12); k >= 0; k-- {
+			var p []byte
+			switch rng.Intn(6) {
+			case 0:
+				p = append([]byte("sx-"), word(rng.Intn(6))...)
+			case 1:
+				p = word(1 + rng.Intn(4))
+			case 2:
+				p = make([]byte, rng.Intn(3)) // nil, or zero bytes
+			case 3:
+				if len(patterns) > 0 {
+					p = xrand.Pick(rng, patterns) // duplicate
+				}
+			case 4:
+				p = word(int(nblocks)*BlockSize + 1 + rng.Intn(8))
+			case 5:
+				p = word(2 + rng.Intn(40))
+			}
+			patterns = append(patterns, p)
+		}
+		end := int(nblocks) * BlockSize
+		for _, p := range patterns {
+			if len(p) == 0 || len(p) > end {
+				continue
+			}
+			plant(t, dev, rng.Intn(end-len(p)+1), p)
+			if rng.Bool(0.3) {
+				plant(t, dev, end-len(p), p)
+			}
+		}
+		checkAgainstRef(t, dev, patterns)
+	}
+}
+
+// BenchmarkFindResidueAny scans a 64 MiB image, mostly zero blocks with
+// random "ciphertext" blocks, for 64 workload-style secrets sharing the
+// "sx-" prefix, as the post-run regulator check does.
+func BenchmarkFindResidueAny(b *testing.B) {
+	const nblocks = 64 << 20 / BlockSize
+	dev := MustMem(nblocks)
+	rng := xrand.New(1)
+	buf := make([]byte, BlockSize)
+	for n := uint64(0); n < nblocks; n += 4 {
+		rng.Bytes(buf)
+		if err := dev.WriteBlock(n, buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	patterns := make([][]byte, 64)
+	for i := range patterns {
+		patterns[i] = []byte(fmt.Sprintf("sx-bench-secret-%03d", i))
+	}
+	b.SetBytes(nblocks * BlockSize)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if hits := FindResidueAny(dev, patterns); hits != 0 {
+			b.Fatalf("FindResidueAny = %d on an image without secrets", hits)
+		}
 	}
 }
 

@@ -603,9 +603,9 @@ func (s *Store) ShardScans() []uint64 {
 // eviction), while disable/enable transitions swap the cache pointer —
 // a freshly enabled cache starts empty and refills under the shard locks.
 //
-// Deprecated: when the store is owned by a core.System, tune it through
-// System.ApplyTuning (core.Tuning.MembraneCache). Direct use remains
-// correct for standalone stores and ablation tests.
+// Owned by core.System; tune through ApplyTuning
+// (core.Tuning.MembraneCache). Standalone stores and ablation tests call
+// it directly.
 func (s *Store) ConfigureMembraneCache(capacity int) {
 	if capacity < 0 {
 		s.mcacheCap.Store(-1)

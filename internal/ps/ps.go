@@ -171,9 +171,9 @@ func (s *Store) DefaultWorkers() int {
 // requests; maintenance invocations (rights execution — a legal
 // obligation) are never shed. Passing nil removes admission control.
 //
-// Deprecated: core.Boot installs the controller; runtime changes to its
-// parameters go through System.ApplyTuning (core.Tuning.AdmissionMaxPending)
-// rather than swapping the controller, which would discard its counters.
+// Owned by core.System; tune through ApplyTuning
+// (core.Tuning.AdmissionMaxPending). core.Boot installs the controller;
+// swapping it at runtime would discard its counters.
 func (s *Store) ConfigureAdmission(c *admission.Controller) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -194,9 +194,9 @@ func (s *Store) Admission() *admission.Controller {
 // registered processing, so limits cannot silently target a typo. A rate
 // <= 0 removes the limit. Requires a configured admission controller.
 //
-// Deprecated: when the store is owned by a core.System, set limits through
-// System.ApplyTuning (core.Tuning.RateLimits) so the tuning snapshot stays
-// coherent. The registry validation lives here either way.
+// Owned by core.System; tune through ApplyTuning (core.Tuning.RateLimits),
+// which keeps the tuning snapshot coherent. The registry validation lives
+// here either way.
 func (s *Store) SetRateLimit(purposeName string, ratePerSec, burst float64) error {
 	s.mu.Lock()
 	c := s.adm

@@ -75,9 +75,9 @@ func New(p *ps.Store, d *ded.DED, log *audit.Log, clock simclock.Clock) *Engine 
 // rights. Zero (the default) follows the Processing Store's pool size; one
 // restores the serial PR-2 behaviour (the SC3 ablation baseline).
 //
-// Deprecated: when the engine is owned by a core.System, set the width
-// through System.ApplyTuning (core.Tuning.RightsWorkers). Direct use
-// remains correct for standalone engines and ablation tests.
+// Owned by core.System; tune through ApplyTuning
+// (core.Tuning.RightsWorkers). Standalone engines and ablation tests call
+// it directly.
 func (e *Engine) SetWorkers(n int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -177,11 +177,16 @@ func TestSweeperAlreadyExpiredInsert(t *testing.T) {
 	r.clock.Advance(48 * time.Hour)
 	// CreatedAt at the epoch with a 1h TTL: expired 47h ago at insert.
 	r.seedWithTTL(t, "stale", time.Hour, simclock.Epoch)
+	// Wait on the stats, not the store: a pass records its deletions only
+	// after the batch delete returns, so the record can vanish first.
 	waitFor(t, "kick-driven sweep of an already-expired insert", func() bool {
-		return r.countRecords(t, "stale") == 0
+		return sw.Stats().Deleted >= 1
 	})
 	if st := sw.Stats(); st.Deleted != 1 {
 		t.Fatalf("sweeper stats deleted = %d, want 1", st.Deleted)
+	}
+	if got := r.countRecords(t, "stale"); got != 0 {
+		t.Fatalf("stale records = %d, want 0", got)
 	}
 }
 
