@@ -36,6 +36,11 @@ type Cached struct {
 	entries map[uint64]*centry
 	// Intrusive LRU list: head is most recent, tail least.
 	head, tail *centry
+	// dirty lists every entry dirtied since the last flush, in the order
+	// it was first dirtied, so Sync costs O(dirty) instead of a walk of
+	// the whole LRU. An entry written back by eviction stays listed with
+	// its dirty flag cleared; Sync skips it.
+	dirty []*centry
 
 	bypassStart, bypassLen uint64
 
@@ -137,7 +142,7 @@ func (c *Cached) evict() error {
 				return fmt.Errorf("blockdev: cache eviction writeback block %d: %w", v.n, err)
 			}
 			c.writebacks.Add(1)
-			v.dirty = false
+			v.dirty = false // Sync skips it on the dirty list
 		}
 		c.unlink(v)
 		c.evictions.Add(1)
@@ -199,12 +204,16 @@ func (c *Cached) WriteBlock(n uint64, data []byte) error {
 func (c *Cached) upsertDirty(n uint64, data []byte) error {
 	if e, ok := c.entries[n]; ok {
 		copy(e.data, data)
-		e.dirty = true
+		if !e.dirty {
+			e.dirty = true
+			c.dirty = append(c.dirty, e)
+		}
 		c.touch(e)
 		return nil
 	}
 	e := &centry{n: n, data: append([]byte(nil), data...), dirty: true}
 	c.entries[n] = e
+	c.dirty = append(c.dirty, e)
 	c.touch(e)
 	return c.evict()
 }
@@ -247,27 +256,27 @@ func (c *Cached) WriteBlocks(ns []uint64, imgs [][]byte) error {
 func (c *Cached) Sync() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var flush []*centry
-	for e := c.head; e != nil; e = e.next {
+	var ns []uint64
+	var imgs [][]byte
+	for _, e := range c.dirty {
 		if e.dirty {
-			flush = append(flush, e)
+			ns = append(ns, e.n)
+			imgs = append(imgs, e.data)
 		}
 	}
-	if len(flush) > 0 {
-		ns := make([]uint64, len(flush))
-		imgs := make([][]byte, len(flush))
-		for i, e := range flush {
-			ns[i] = e.n
-			imgs[i] = e.data
-		}
+	if len(ns) > 0 {
 		if err := WriteBlocks(c.dev, ns, imgs); err != nil {
 			return fmt.Errorf("blockdev: cache flush: %w", err)
 		}
-		for _, e := range flush {
+		for _, e := range c.dirty {
 			e.dirty = false
 		}
-		c.writebacks.Add(uint64(len(flush)))
+		c.writebacks.Add(uint64(len(ns)))
 	}
+	// Clear before truncating: a re-sliced list would keep its flushed
+	// (possibly already evicted) entries reachable from the backing array.
+	clear(c.dirty)
+	c.dirty = c.dirty[:0]
 	return c.dev.Sync()
 }
 

@@ -314,3 +314,221 @@ func TestCachedBypass(t *testing.T) {
 		t.Fatalf("cacheable block not cached (len=%d)", c.Len())
 	}
 }
+
+// TestCachedSyncFlushesExactlyTheDirtySet: Sync writes each dirty block
+// once — rewrites and clean (read-filled) entries add nothing — and a Sync
+// on a clean cache writes no block at all.
+func TestCachedSyncFlushesExactlyTheDirtySet(t *testing.T) {
+	mem := MustMem(64)
+	c, err := NewCached(mem, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if w := mem.Stats().Writes; w != 0 {
+		t.Fatalf("Sync of an empty cache wrote %d blocks", w)
+	}
+	buf := make([]byte, BlockSize)
+	for n := uint64(20); n < 25; n++ {
+		if err := c.ReadBlock(n, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, n := range []uint64{1, 2, 3, 2, 5, 1} {
+		if err := c.WriteBlock(n, pat(byte(n))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.WriteBlocks([]uint64{3, 6}, [][]byte{pat(0x33), pat(6)}); err != nil {
+		t.Fatal(err)
+	}
+	before := mem.Stats().Writes
+	if err := c.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := mem.Stats().Writes - before; got != 5 {
+		t.Fatalf("Sync wrote %d blocks, want the 5 dirty ones", got)
+	}
+	if s := c.Stats(); s.Writebacks != 5 {
+		t.Fatalf("Writebacks = %d, want 5", s.Writebacks)
+	}
+	for n, v := range map[uint64]byte{1: 1, 2: 2, 3: 0x33, 5: 5, 6: 6} {
+		if err := mem.ReadBlock(n, buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, pat(v)) {
+			t.Fatalf("block %d not flushed with its last image", n)
+		}
+	}
+	before = mem.Stats().Writes
+	if err := c.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := mem.Stats().Writes - before; got != 0 {
+		t.Fatalf("Sync of a clean cache wrote %d blocks", got)
+	}
+}
+
+// TestCachedEvictedDirtyNotRewritten: a dirty block written back by
+// eviction is clean, so the next Sync flushes only the blocks still dirty
+// — even after the evicted block is cached again by a read.
+func TestCachedEvictedDirtyNotRewritten(t *testing.T) {
+	mem := MustMem(64)
+	c, err := NewCached(mem, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []uint64{1, 2, 3} { // writing 3 evicts dirty 1
+		if err := c.WriteBlock(n, pat(byte(n))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if w, wb := mem.Stats().Writes, c.Stats().Writebacks; w != 1 || wb != 1 {
+		t.Fatalf("after eviction: device writes %d, writebacks %d, want 1/1", w, wb)
+	}
+	buf := make([]byte, BlockSize)
+	if err := c.ReadBlock(1, buf); err != nil { // refill 1 clean, evicting dirty 2
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, pat(1)) {
+		t.Fatal("evicted block lost its written-back image")
+	}
+	before := mem.Stats().Writes
+	if err := c.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := mem.Stats().Writes - before; got != 1 {
+		t.Fatalf("Sync wrote %d blocks, want 1 (only block 3 is still dirty)", got)
+	}
+	if wb := c.Stats().Writebacks; wb != 3 {
+		t.Fatalf("Writebacks = %d, want 3 (two evictions, one flush)", wb)
+	}
+	for n := uint64(1); n <= 3; n++ {
+		if err := mem.ReadBlock(n, buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, pat(byte(n))) {
+			t.Fatalf("block %d not durable", n)
+		}
+	}
+}
+
+// TestCachedFailedSyncKeepsDirtySet: a flush that fails keeps every block
+// dirty, and the retry writes the same set — no fewer blocks (nothing
+// lost), no more.
+func TestCachedFailedSyncKeepsDirtySet(t *testing.T) {
+	mem := MustMem(64)
+	flaky := &flakyDev{dev: mem}
+	c, err := NewCached(flaky, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []uint64{4, 5, 6} {
+		if err := c.WriteBlock(n, pat(byte(n))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flaky.set(false, true)
+	for i := 0; i < 2; i++ {
+		if err := c.Sync(); !errors.Is(err, ErrIO) {
+			t.Fatalf("sync %d err = %v, want ErrIO", i, err)
+		}
+	}
+	flaky.set(false, false)
+	if err := c.WriteBlock(7, pat(7)); err != nil {
+		t.Fatal(err)
+	}
+	before := mem.Stats().Writes
+	if err := c.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := mem.Stats().Writes - before; got != 4 {
+		t.Fatalf("retry wrote %d blocks, want 4", got)
+	}
+	if wb := c.Stats().Writebacks; wb != 4 {
+		t.Fatalf("Writebacks = %d, want 4 (failed flushes count none)", wb)
+	}
+	buf := make([]byte, BlockSize)
+	for n := uint64(4); n <= 7; n++ {
+		if err := mem.ReadBlock(n, buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, pat(byte(n))) {
+			t.Fatalf("block %d not durable after the retry", n)
+		}
+	}
+}
+
+// TestCachedConcurrentWriteSync races vector writes (enough distinct blocks
+// to churn evictions) against repeated Syncs. After a final Sync every
+// block holds its last image on the device and the cache is clean. CI runs
+// it under -race -count=10.
+func TestCachedConcurrentWriteSync(t *testing.T) {
+	const writers, rounds, span = 4, 50, 8
+	mem := MustMem(64)
+	c, err := NewCached(mem, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	syncErr := make(chan error, 1)
+	go func() {
+		defer close(syncErr)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := c.Sync(); err != nil {
+				syncErr <- err
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			ns := make([]uint64, span)
+			imgs := make([][]byte, span)
+			for r := 0; r < rounds; r++ {
+				for i := range ns {
+					ns[i] = uint64(w*span + i)
+					imgs[i] = pat(byte(r))
+				}
+				if err := c.WriteBlocks(ns, imgs); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	if err := <-syncErr; err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, BlockSize)
+	for n := uint64(0); n < writers*span; n++ {
+		if err := mem.ReadBlock(n, buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, pat(rounds-1)) {
+			t.Fatalf("block %d not durable with its last image", n)
+		}
+	}
+	before := mem.Stats().Writes
+	if err := c.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := mem.Stats().Writes - before; got != 0 {
+		t.Fatalf("cache not clean after the final Sync: %d blocks rewritten", got)
+	}
+}

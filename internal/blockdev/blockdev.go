@@ -139,6 +139,7 @@ func WriteBlocks(dev Device, ns []uint64, data [][]byte) error {
 type Mem struct {
 	mu      sync.RWMutex
 	blocks  []byte
+	written []bool // written[n]: block n was ever written; the rest are zero
 	nblocks uint64
 	lat     LatencyModel
 	stats   Stats
@@ -154,6 +155,7 @@ func NewMem(n uint64, lat LatencyModel) (*Mem, error) {
 	}
 	return &Mem{
 		blocks:  make([]byte, n*BlockSize),
+		written: make([]bool, n),
 		nblocks: n,
 		lat:     lat,
 	}, nil
@@ -199,6 +201,7 @@ func (m *Mem) WriteBlock(n uint64, data []byte) error {
 		return fmt.Errorf("%w: write block %d of %d", ErrOutOfRange, n, m.nblocks)
 	}
 	copy(m.blocks[n*BlockSize:(n+1)*BlockSize], data)
+	m.written[n] = true
 	m.stats.Writes++
 	m.stats.BytesWritten += BlockSize
 	m.stats.SimLatency += m.lat.WriteCost
@@ -248,6 +251,7 @@ func (m *Mem) WriteBlocks(ns []uint64, data [][]byte) error {
 			return fmt.Errorf("%w: write block %d of %d", ErrOutOfRange, n, m.nblocks)
 		}
 		copy(m.blocks[n*BlockSize:(n+1)*BlockSize], data[i])
+		m.written[n] = true
 		m.stats.Writes++
 		m.stats.BytesWritten += BlockSize
 		m.stats.SimLatency += m.lat.WriteCost
@@ -281,11 +285,13 @@ func FindResidueAny(dev *Mem, patterns [][]byte) int {
 // (pattern, block) pair where a match of that pattern begins in that
 // block. Matches spanning blocks belong to their start block, overlapping
 // matches count, and empty patterns never match. bytes.IndexByte finds the
-// candidate starts, so the cost is one pass over the image per distinct
-// first byte among the patterns; within a pass blocks come out in
-// ascending order. A candidate must match the prefix its pass's patterns
-// share before any single pattern is tried, so a random byte costs one
-// comparison, not one per pattern.
+// candidate starts, so the cost is one pass per distinct first byte among
+// the patterns over the blocks ever written (the whole image for a
+// zero first byte); within a pass blocks come out in ascending order.
+// Skipping never-written blocks also keeps the cost independent of whether
+// the allocator backed their zeros with real pages. A candidate must match
+// the prefix its pass's patterns share before any single pattern is tried,
+// so a random byte costs one comparison, not one per pattern.
 func (m *Mem) scan(patterns [][]byte) []uint64 {
 	var byFirst [256][]int
 	var shared [256][]byte // longest prefix common to byFirst[c]'s patterns
@@ -311,22 +317,38 @@ func (m *Mem) scan(patterns [][]byte) []uint64 {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	for _, c := range firsts {
-		for off := 0; ; off++ {
-			j := bytes.IndexByte(m.blocks[off:], c)
-			if j < 0 {
-				break
-			}
-			off += j
-			if !bytes.HasPrefix(m.blocks[off:], shared[c]) {
+		// Candidate starts are searched run by run of written blocks: a
+		// never-written block is all zeros, so only a pattern that starts
+		// with a zero byte can start a match there. A match may still run
+		// on past the end of its run.
+		for lo := uint64(0); lo < m.nblocks; {
+			if c != 0 && !m.written[lo] {
+				lo++
 				continue
 			}
-			b := uint64(off) / BlockSize
-			for _, i := range byFirst[c] {
-				if last[i] != b+1 && bytes.HasPrefix(m.blocks[off:], patterns[i]) {
-					last[i] = b + 1
-					hits = append(hits, b)
+			hi := lo + 1
+			for hi < m.nblocks && (c == 0 || m.written[hi]) {
+				hi++
+			}
+			end := int(hi * BlockSize)
+			for off := int(lo * BlockSize); ; off++ {
+				j := bytes.IndexByte(m.blocks[off:end], c)
+				if j < 0 {
+					break
+				}
+				off += j
+				if !bytes.HasPrefix(m.blocks[off:], shared[c]) {
+					continue
+				}
+				b := uint64(off) / BlockSize
+				for _, i := range byFirst[c] {
+					if last[i] != b+1 && bytes.HasPrefix(m.blocks[off:], patterns[i]) {
+						last[i] = b + 1
+						hits = append(hits, b)
+					}
 				}
 			}
+			lo = hi
 		}
 	}
 	return hits

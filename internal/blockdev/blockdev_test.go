@@ -118,7 +118,9 @@ func TestFindResidue(t *testing.T) {
 	if err := dev.WriteBlock(2, block); err != nil {
 		t.Fatal(err)
 	}
-	if err := dev.WriteBlock(5, block); err != nil {
+	// The vector path must mark its blocks written too, or the scan would
+	// skip them.
+	if err := dev.WriteBlocks([]uint64{5}, [][]byte{block}); err != nil {
 		t.Fatal(err)
 	}
 	hits := FindResidue(dev, secret)
@@ -327,6 +329,13 @@ func TestFindResidueEdgeCases(t *testing.T) {
 			patterns: []string{"SECRET", "T"},
 			want:     [][]uint64{{0, 2}, {1, 2}},
 			wantAny:  4,
+		},
+		{
+			name:     "runs on into never-written blocks",
+			plants:   map[int]string{BlockSize - 2: "ab"},
+			patterns: []string{"ab\x00\x00", "\x00\x00", "b\x00"},
+			want:     [][]uint64{{0}, {0, 1, 2}, {0}},
+			wantAny:  5,
 		},
 		{
 			name:     "periodic overlap and duplicates",

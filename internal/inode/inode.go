@@ -240,6 +240,13 @@ type FS struct {
 	metaMu sync.Mutex
 	bitmap []byte // in-memory block allocation bitmap, one bit per device block
 	itab   []dinode
+	// Low-water marks for the allocators: no inode slot below freeIno is
+	// ModeFree and no data block below freeBlk is clear in bitmap. A claim
+	// moves its mark past the slot or block it took; every release lowers
+	// it (lowerFree*Locked). Allocation stays lowest-free-first while
+	// skipping the allocated prefix instead of rescanning it.
+	freeIno uint64
+	freeBlk uint64
 
 	// actorsMu guards the live-actor registry and each daemon's inflight
 	// count.
@@ -319,6 +326,8 @@ func Format(dev blockdev.Device, opts Options) (*FS, error) {
 		sb:       sb,
 		bitmap:   make([]byte, bitmapBlocks*blockdev.BlockSize),
 		itab:     make([]dinode, sb.NInodes),
+		freeIno:  1,
+		freeBlk:  sb.DataStart,
 		maxChunk: chunkLimit(sb.JournalBlocks),
 		actors:   make(map[Ino]*idaemon),
 	}
@@ -425,6 +434,8 @@ func Mount(dev blockdev.Device, clock simclock.Clock) (*FS, error) {
 		log:      log,
 		bitmap:   make([]byte, sb.BitmapBlocks*blockdev.BlockSize),
 		itab:     make([]dinode, sb.NInodes),
+		freeIno:  1,
+		freeBlk:  sb.DataStart,
 		maxChunk: chunkLimit(sb.JournalBlocks),
 		actors:   make(map[Ino]*idaemon),
 	}
@@ -755,16 +766,28 @@ func (m *mtx) readBlock(n uint64, buf []byte) error { return m.fs.readBlock(m.tx
 func (m *mtx) alloc() (uint64, error) {
 	fs := m.fs
 	fs.metaMu.Lock()
-	for b := fs.sb.DataStart; b < fs.sb.NBlocks; b++ {
+	for b := fs.freeBlk; b < fs.sb.NBlocks; b++ {
 		if fs.bitmap[b/8]&(1<<(b%8)) == 0 {
 			fs.bitmap[b/8] |= 1 << (b % 8)
+			fs.freeBlk = b + 1
 			fs.metaMu.Unlock()
 			m.allocs = append(m.allocs, b)
 			return b, nil
 		}
 	}
+	fs.freeBlk = fs.sb.NBlocks
 	fs.metaMu.Unlock()
 	return 0, ErrNoSpace
+}
+
+// lowerFreeBlkLocked records that data block b was released.
+func (fs *FS) lowerFreeBlkLocked(b uint64) {
+	fs.freeBlk = min(fs.freeBlk, b)
+}
+
+// lowerFreeInoLocked records that inode slot i was released.
+func (fs *FS) lowerFreeInoLocked(i uint64) {
+	fs.freeIno = min(fs.freeIno, i)
 }
 
 // free schedules block b for release. Both the in-memory bit clear and the
@@ -798,6 +821,7 @@ func (m *mtx) enqueue(pubs ...pub) (*wal.Ticket, error) {
 	defer fs.metaMu.Unlock()
 	for _, b := range m.frees {
 		fs.bitmap[b/8] &^= 1 << (b % 8)
+		fs.lowerFreeBlkLocked(b)
 	}
 	rollbackFrees := func() {
 		for _, b := range m.frees {
@@ -821,6 +845,9 @@ func (m *mtx) enqueue(pubs ...pub) (*wal.Ticket, error) {
 	itabBlocks := make(map[uint64]struct{})
 	for _, p := range pubs {
 		fs.itab[p.ino] = *p.d
+		if p.d.Mode == ModeFree {
+			fs.lowerFreeInoLocked(uint64(p.ino))
+		}
 		itabBlocks[uint64(p.ino)/InodesPerBlock] = struct{}{}
 	}
 	for ib := range itabBlocks {
@@ -844,6 +871,7 @@ func (m *mtx) abort() {
 		m.fs.metaMu.Lock()
 		for _, b := range m.allocs {
 			m.fs.bitmap[b/8] &^= 1 << (b % 8)
+			m.fs.lowerFreeBlkLocked(b)
 		}
 		m.fs.metaMu.Unlock()
 	}
@@ -910,6 +938,7 @@ func (fs *FS) AllocInode(mode Mode, tag string) (Ino, error) {
 		fs.metaMu.Lock()
 		if fs.itab[ino].Links == 0 {
 			fs.itab[ino] = dinode{}
+			fs.lowerFreeInoLocked(uint64(ino))
 		}
 		fs.metaMu.Unlock()
 		return 0, fmt.Errorf("inode: alloc %d: %w", ino, err)
@@ -922,10 +951,11 @@ func (fs *FS) AllocInode(mode Mode, tag string) (Ino, error) {
 func (fs *FS) claimInode(mode Mode, tag string) (Ino, *wal.Ticket, error) {
 	fs.metaMu.Lock()
 	defer fs.metaMu.Unlock()
-	for i := uint64(1); i < fs.sb.NInodes; i++ {
+	for i := fs.freeIno; i < fs.sb.NInodes; i++ {
 		if fs.itab[i].Mode != ModeFree {
 			continue
 		}
+		fs.freeIno = i + 1
 		fs.itab[i] = dinode{
 			Mode:      mode,
 			MTimeNano: fs.clock.Now().UnixNano(),
@@ -935,15 +965,18 @@ func (fs *FS) claimInode(mode Mode, tag string) (Ino, *wal.Ticket, error) {
 		if err := fs.stageItabBlockLocked(tx, i/InodesPerBlock); err != nil {
 			tx.Abort()
 			fs.itab[i] = dinode{}
+			fs.lowerFreeInoLocked(i)
 			return 0, nil, fmt.Errorf("inode: alloc %d: %w", i, err)
 		}
 		tk, err := tx.Enqueue()
 		if err != nil {
 			fs.itab[i] = dinode{}
+			fs.lowerFreeInoLocked(i)
 			return 0, nil, fmt.Errorf("inode: alloc %d: %w", i, err)
 		}
 		return Ino(i), tk, nil
 	}
+	fs.freeIno = fs.sb.NInodes
 	return 0, nil, fmt.Errorf("%w: inode table full", ErrNoSpace)
 }
 

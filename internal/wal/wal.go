@@ -15,11 +15,12 @@
 //
 // Each descriptor lists the home locations of the data blocks that follow
 // it; the single commit block seals the whole group with the transaction
-// count, the id of the last transaction, and a checksum over every
-// descriptor and data block. A group written by an older single-transaction
-// journal is simply the k=1 case (its commit block carries a zero count,
-// which recovery reads as one). Recovery scans the journal region, replays
-// every transaction inside a group with a valid commit block in ascending
+// count, the id of the last transaction, and a CRC32C (Castagnoli, the
+// checksum of JBD2's journal_csum_v3, hardware-accelerated by hash/crc32)
+// over every descriptor and data block in log order. A single transaction
+// is the k=1 case; a commit block with a zero count seals nothing and marks
+// its group torn. Recovery scans the journal region, replays every
+// transaction inside a group with a valid commit block in ascending
 // transaction-id order, and discards torn groups — the standard redo-logging
 // protocol, extended to multi-transaction commit records.
 //
@@ -37,7 +38,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"hash/crc32"
 	"sync"
 	"time"
 
@@ -62,6 +63,9 @@ const (
 	// group. 1 disables batching (every transaction is its own group).
 	DefaultGroupBatch = 32
 )
+
+// castagnoli is the CRC32C table for the commit-group checksum.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Sentinel errors.
 var (
@@ -130,6 +134,15 @@ type Log struct {
 	pending    int   // enqueued transactions not yet signaled
 	aborted    error // first flush failure; non-nil = journal abort
 	inflight   map[uint64]*inflightBlock
+
+	// Per-group scratch reused by flushGroup. Only the running committer
+	// touches it, and committers hand over strictly in sequence under mu.
+	// Reuse is safe because every device the journal sits on copies what
+	// it writes and keeps no reference to the caller's buffers.
+	descs [][]byte
+	com   []byte
+	ns    []uint64
+	imgs  [][]byte
 }
 
 // Open attaches a journal to the region [start, start+length) of dev. The
@@ -455,18 +468,21 @@ func (l *Log) committer() {
 // write passes are submitted as vectors so devices (and the IO-driver bus)
 // charge them as batches.
 func (l *Log) flushGroup(groupStart uint64, batch []*pendingTxn) error {
-	var (
-		nblocks = 1
-		sum     = fnv.New64a()
-	)
-	for _, p := range batch {
-		nblocks += len(p.home) + 1
-	}
-	ns := make([]uint64, 0, nblocks)
-	imgs := make([][]byte, 0, nblocks)
+	ns, imgs := l.ns[:0], l.imgs[:0]
+	defer func() {
+		// Drop the image references so the scratch pins no transaction
+		// data between groups.
+		clear(imgs)
+		l.ns, l.imgs = ns[:0], imgs[:0]
+	}()
+	var sum uint32
 	blk := groupStart
-	for _, p := range batch {
-		desc := make([]byte, blockdev.BlockSize)
+	for k, p := range batch {
+		if k == len(l.descs) {
+			l.descs = append(l.descs, make([]byte, blockdev.BlockSize))
+		}
+		desc := l.descs[k]
+		clear(desc)
 		binary.LittleEndian.PutUint32(desc[0:], magic)
 		binary.LittleEndian.PutUint32(desc[4:], blockTypeDescriptor)
 		binary.LittleEndian.PutUint64(desc[8:], p.txid)
@@ -474,22 +490,25 @@ func (l *Log) flushGroup(groupStart uint64, batch []*pendingTxn) error {
 		for i, h := range p.home {
 			binary.LittleEndian.PutUint64(desc[headerSize+8*i:], h)
 		}
-		_, _ = sum.Write(desc)
+		sum = crc32.Update(sum, castagnoli, desc)
 		ns = append(ns, blk)
 		imgs = append(imgs, desc)
 		blk++
 		for _, img := range p.data {
-			_, _ = sum.Write(img)
+			sum = crc32.Update(sum, castagnoli, img)
 			ns = append(ns, blk)
 			imgs = append(imgs, img)
 			blk++
 		}
 	}
-	com := make([]byte, blockdev.BlockSize)
+	if l.com == nil {
+		l.com = make([]byte, blockdev.BlockSize)
+	}
+	com := l.com
 	binary.LittleEndian.PutUint32(com[0:], magic)
 	binary.LittleEndian.PutUint32(com[4:], blockTypeCommit)
 	binary.LittleEndian.PutUint64(com[8:], batch[len(batch)-1].txid)
-	binary.LittleEndian.PutUint64(com[16:], sum.Sum64())
+	binary.LittleEndian.PutUint64(com[16:], uint64(sum))
 	binary.LittleEndian.PutUint32(com[24:], uint32(len(batch)))
 	ns = append(ns, blk)
 	imgs = append(imgs, com)
@@ -533,7 +552,7 @@ type replayTxn struct {
 // ok=false if the group is torn (no valid commit block sealing exactly the
 // parsed segments).
 func (l *Log) scanGroup(i uint64) (segs []replayTxn, end uint64, ok bool) {
-	sum := fnv.New64a()
+	var sum uint32
 	buf := make([]byte, blockdev.BlockSize)
 	j := i
 	for {
@@ -547,18 +566,13 @@ func (l *Log) scanGroup(i uint64) (segs []replayTxn, end uint64, ok bool) {
 			binary.LittleEndian.Uint32(buf[4:]) == blockTypeCommit {
 			// End of group: the commit block must seal exactly the
 			// segments parsed, carry the last segment's txid, and match
-			// the running checksum. A zero transaction count is the
-			// legacy single-transaction format.
+			// the running checksum.
 			if len(segs) == 0 {
 				return nil, 0, false
 			}
-			ntxns := binary.LittleEndian.Uint32(buf[24:])
-			if ntxns == 0 {
-				ntxns = 1
-			}
-			if int(ntxns) != len(segs) ||
+			if int(binary.LittleEndian.Uint32(buf[24:])) != len(segs) ||
 				binary.LittleEndian.Uint64(buf[8:]) != segs[len(segs)-1].txid ||
-				binary.LittleEndian.Uint64(buf[16:]) != sum.Sum64() {
+				binary.LittleEndian.Uint64(buf[16:]) != uint64(sum) {
 				return nil, 0, false
 			}
 			return segs, j + 1, true
@@ -572,10 +586,18 @@ func (l *Log) scanGroup(i uint64) (segs []replayTxn, end uint64, ok bool) {
 		if ntags == 0 || ntags > uint32(MaxBlocksPerTxn) || j+uint64(ntags)+2 > l.length {
 			return nil, 0, false
 		}
-		_, _ = sum.Write(buf)
+		sum = crc32.Update(sum, castagnoli, buf)
 		home := make([]uint64, ntags)
 		for k := uint32(0); k < ntags; k++ {
-			home[k] = binary.LittleEndian.Uint64(buf[headerSize+8*k:])
+			h := binary.LittleEndian.Uint64(buf[headerSize+8*k:])
+			// A home block past the device end or inside the journal
+			// region was never checkpointable: replaying it would fail,
+			// or overwrite the log being scanned and make a second
+			// recovery replay something else.
+			if h >= l.dev.NumBlocks() || (h >= l.start && h < l.start+l.length) {
+				return nil, 0, false
+			}
+			home[k] = h
 		}
 		data := make([][]byte, 0, ntags)
 		for k := uint32(0); k < ntags; k++ {
@@ -583,7 +605,7 @@ func (l *Log) scanGroup(i uint64) (segs []replayTxn, end uint64, ok bool) {
 			if err := l.dev.ReadBlock(l.start+j+1+uint64(k), img); err != nil {
 				return nil, 0, false
 			}
-			_, _ = sum.Write(img)
+			sum = crc32.Update(sum, castagnoli, img)
 			data = append(data, img)
 		}
 		segs = append(segs, replayTxn{txid: txid, home: home, data: data})
