@@ -990,6 +990,21 @@ func (s *Store) Insert(tok *lsm.Token, typeName, subjectID string, rec Record, m
 // the type (resolve). The sens inode is 0 when the type has no sensitive
 // part.
 func (s *Store) recordInos(sr shardRef, r ref) (tree inode.Ino, data, sens, mem inode.Ino, err error) {
+	tree, data, sens, mem, err = s.lookupRecordInos(sr, r)
+	if errors.Is(err, ErrNoMembrane) {
+		// Promotion writes the membrane last, so while a racing reader
+		// promotes this record its data file is visible without it. Wait
+		// for that promotion under the cold mutex, then resolve once more.
+		if promoted, perr := s.promoteIfCold(sr, r, tree); perr == nil && promoted {
+			return s.lookupRecordInos(sr, r)
+		}
+	}
+	return tree, data, sens, mem, err
+}
+
+// lookupRecordInos is one resolution attempt of recordInos. On
+// ErrNoMembrane it still returns the record's type tree.
+func (s *Store) lookupRecordInos(sr shardRef, r ref) (tree inode.Ino, data, sens, mem inode.Ino, err error) {
 	tree, err = s.subjectTypeTree(sr, r.typeName, r.subjectID, false)
 	if err != nil {
 		return 0, 0, 0, 0, err
@@ -1020,7 +1035,7 @@ func (s *Store) recordInos(sr shardRef, r ref) (tree inode.Ino, data, sens, mem 
 	}
 	mem, err = sr.fs.Lookup(tree, recName+memSuffix)
 	if errors.Is(err, inode.ErrChildNotFound) {
-		return 0, 0, 0, 0, fmt.Errorf("%w: %s", ErrNoMembrane, r.pdid)
+		return tree, 0, 0, 0, fmt.Errorf("%w: %s", ErrNoMembrane, r.pdid)
 	}
 	if err != nil {
 		return 0, 0, 0, 0, err
